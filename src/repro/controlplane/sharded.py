@@ -19,8 +19,8 @@ Pool machinery is shared with the experiment orchestrator
 workers, worker-side cooperative monotonic deadlines, deterministic
 work partitioning.  The deadlines are deliberately *not* the
 orchestrator's ``SIGALRM`` alarms: fork workers inherit the parent's
-signal dispositions, and a parent running an asyncio loop (the serve
-mode) owns signal delivery there — worker kernels instead check a
+signal dispositions, and a parent with its own handlers (the serve
+mode) or an asyncio loop owns signal delivery — worker kernels check a
 monotonic deadline between bounded units of work (a DP row chunk, one
 route walk), which composes with any parent.
 Any worker failure or timeout permanently degrades the pool to the

@@ -24,9 +24,8 @@ loop interplay), not day-scale statistics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,14 +40,13 @@ from repro.core.variants import VariantSpec, xron
 from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.gateway import Gateway
 from repro.elastic.containers import ContainerPool
-from repro.faults import spec as fault_spec
 from repro.faults.runtime import FaultInjector, truncate_install
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.install import ResilienceCounters, TwoPhaseInstaller
-from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
@@ -126,7 +124,6 @@ class EventDrivenXRON:
                  tracked_pairs: Optional[List[RegionPair]] = None,
                  measure_interval_s: float = 1.0,
                  passive_flush_s: float = 5.0,
-                 controller_outage: Optional[Tuple[float, float]] = None,
                  faults: Optional[FaultSchedule] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  sib_params: Optional[Dict[str, int]] = None,
@@ -165,11 +162,7 @@ class EventDrivenXRON:
         (`repro.controlplane.regional`), which need the resilience
         layer — heal-time reconciliation rides the two-phase install
         versioning.  Both are off by default and normalize to ``None``
-        so disabled runs stay byte-identical to a build without them.
-
-        `controller_outage` = (start_s, end_s) is the deprecated
-        pre-schedule spelling of one controller outage; it is folded
-        into the schedule."""
+        so disabled runs stay byte-identical to a build without them."""
         self.underlay = underlay
         self.demand = demand
         self.variant = variant if variant is not None else xron()
@@ -183,17 +176,8 @@ class EventDrivenXRON:
                                else ControlConfig())
         self.measure_interval_s = measure_interval_s
         self.passive_flush_s = passive_flush_s
-        self.controller_outage = controller_outage
         self._slo = slo
         schedule = faults if faults is not None else FaultSchedule.empty()
-        if controller_outage is not None:
-            warnings.warn(
-                "controller_outage=(start, end) is deprecated; pass "
-                "faults=FaultSchedule.of(repro.faults.controller_outage("
-                "start, end)) instead",
-                DeprecationWarning, stacklevel=2)
-            schedule = schedule.extended(fault_spec.controller_outage(
-                controller_outage[0], controller_outage[1]))
         self.faults = schedule
         self.skipped_epochs = 0
         #: Resolved resilience config; None when absent or disabled so
@@ -313,43 +297,69 @@ class EventDrivenXRON:
     # ------------------------------------------------------------------ api
     def run(self, start_s: float, duration_s: float) -> EventSimResult:
         sim = Simulator(start_time=start_s)
-        end = start_s + duration_s
-        burst = self.sim_config.monitoring.burst_interval_s
-
-        # Gateway-crash windows go on the queue up front (priority -1 so
-        # a crash at an epoch instant hits before the controller acts).
-        # Windows already fired — state restored from a checkpoint taken
-        # at t > 0 — are not replayed.
-        if self._injector is not None:
-            for spec in self._injector.crash_windows():
-                if spec.end_s <= start_s or self._injector.fired(spec):
-                    continue
-                sim.schedule_at(max(spec.start_s, start_s),
-                                lambda spec=spec: self._apply_crash(sim, spec),
-                                priority=-1)
-
-        # Control epoch first (priority 0) so tables exist before the
-        # first measurements; probing before measurement at equal times.
         # The final flush runs on EVERY exit path: without it, an
         # exception mid-run (or simply the tail of the run after the
         # last epoch boundary) would leave the attached telemetry
         # stream's last metric deltas unwritten.
         try:
-            self._control_epoch(sim)
-            sim.every(self.sim_config.epoch_s,
-                      lambda: self._control_epoch(sim),
-                      start_delay=self.sim_config.epoch_s, priority=0)
-            sim.every(burst, lambda: self._probe_round(sim), priority=1)
-            sim.every(self.passive_flush_s,
-                      lambda: self._flush_passive(sim),
-                      start_delay=self.passive_flush_s, priority=2)
-            sim.every(self.measure_interval_s, lambda: self._measure(sim),
-                      start_delay=self.measure_interval_s, priority=3)
-            sim.run_until(end)
+            self._schedule(sim)
+            sim.run_until(start_s + duration_s)
         finally:
             if _TEL.enabled:
                 _TEL.flush_stream(sim.now)
+        return self._result(sim)
 
+    def _schedule(self, sim: Simulator,
+                  after_epoch: Optional[Callable[[], None]] = None
+                  ) -> Dict[str, PeriodicTask]:
+        """Run the boot epoch at `sim.now` and queue every process.
+
+        The one scheduler both `run` and `XRONService` use, so a served
+        window is the batch window by construction.  `after_epoch` runs
+        right after each control epoch, the boot epoch included.
+        Returns the periodic tasks by component name.
+        """
+        start = sim.now
+
+        # Gateway-crash windows go on the queue up front at priority -1,
+        # so a crash at a later epoch instant hits before the controller
+        # acts.  At the window start the boot epoch below runs first: it
+        # is called directly, not queued.  Windows already fired (state
+        # restored from a checkpoint taken at t > 0) are not replayed.
+        if self._injector is not None:
+            for spec in self._injector.crash_windows():
+                if spec.end_s <= start or self._injector.fired(spec):
+                    continue
+                sim.schedule_at(max(spec.start_s, start),
+                                lambda spec=spec: self._apply_crash(sim, spec),
+                                priority=-1)
+
+        def epoch() -> None:
+            self._control_epoch(sim)
+            if after_epoch is not None:
+                after_epoch()
+
+        # Control epoch first (priority 0) so tables exist before the
+        # first measurements; probing before measurement at equal times.
+        epoch()
+        return {
+            "controller": sim.every(self.sim_config.epoch_s, epoch,
+                                    start_delay=self.sim_config.epoch_s,
+                                    priority=0),
+            "probing": sim.every(self.sim_config.monitoring.burst_interval_s,
+                                 lambda: self._probe_round(sim), priority=1),
+            "passive-flush": sim.every(self.passive_flush_s,
+                                       lambda: self._flush_passive(sim),
+                                       start_delay=self.passive_flush_s,
+                                       priority=2),
+            "workload": sim.every(self.measure_interval_s,
+                                  lambda: self._measure(sim),
+                                  start_delay=self.measure_interval_s,
+                                  priority=3),
+        }
+
+    def _result(self, sim: Simulator) -> EventSimResult:
+        """What the run on `sim` produced so far."""
         return EventSimResult(
             sessions=self.sessions,
             control_outputs=self.control_outputs,

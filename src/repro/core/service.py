@@ -1,26 +1,20 @@
-"""Always-on service mode: the event-driven deployment as an asyncio app.
+"""Always-on service mode: the event-driven deployment as a paced loop.
 
-Where `EventDrivenXRON.run` drives one batch window on the synchronous
-event engine, `XRONService` runs the *same* moving parts — controller
-epochs, per-region probing, passive flushes, the workload generator,
-chaos windows — as concurrently-scheduled asyncio components on a
-compressed simulated clock, the shape a long-lived production control
-loop actually has:
+Where `EventDrivenXRON.run` drives one batch window flat out,
+`XRONService` runs the *same* schedule — `EventDrivenXRON._schedule`
+on a `repro.sim.engine.Simulator` — as a long-lived, drainable process,
+the shape a production control loop actually has:
 
-* **`VirtualClock`** is a discrete-event clock with a `Simulator`-
-  compatible surface (``now`` / ``schedule`` / ``schedule_at``), so the
-  epoch machinery of `EventDrivenXRON` — two-phase installs, install
-  retries, crash restarts — runs unchanged on top of it.  Components
-  sleep on the clock; a driver coroutine advances virtual time only
-  when every component is parked and wakes exactly one sleeper at a
-  time in ``(time, priority, seq)`` order, so the interleaving is as
-  deterministic as the batch engine's.
-* **Clock compression** paces virtual time against the wall:
-  ``compress`` sim-seconds pass per wall-second (``0`` = flat out, the
-  test mode).  The driver tracks how far it falls behind (`max_lag_s`).
-* **Crash recovery is the live story**: the controller component
-  persists each resilience checkpoint to disk as a *service envelope*
-  (atomic rename), a SIGTERM drains through one final checkpoint, and
+* **One engine, paced.**  The service advances the simulator in slices
+  of one probe-burst interval.  Between slices it checks a stop flag
+  and, with ``compress > 0``, waits until the wall clock catches up
+  with ``compress`` sim-seconds per wall-second (``0`` = flat out, the
+  test mode), recording how far it falls behind (`max_lag_s`).  A
+  served window is the batch window plus heartbeats: same events, same
+  order, same outputs.
+* **Crash recovery is the live story**: each resilience checkpoint is
+  persisted right after its epoch as a *service envelope* (atomic
+  rename), a SIGTERM drains through one final checkpoint, and
   `restore_from` boots a fresh process from the envelope — restoring
   controller/NIB/SIB state, reinstalling the last committed tables,
   and importing the fault injector's progress so already-fired fault
@@ -35,262 +29,27 @@ pattern the soak mode runs under.
 
 from __future__ import annotations
 
-import asyncio
-import heapq
-import itertools
 import json
 import os
 import signal
 import sys
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.eventsim import EventDrivenXRON, EventSimResult
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
 from repro.resilience.checkpoint import Checkpoint
-from repro.sim.engine import Event, SimulationError
+from repro.sim.engine import PeriodicTask, Simulator
 
 _TEL = _telemetry()
 
 #: Service checkpoint envelope schema version.
 ENVELOPE_SCHEMA = 1
-
-
-# --------------------------------------------------------------------------
-# Virtual clock
-# --------------------------------------------------------------------------
-class VirtualClock:
-    """Discrete-event clock for asyncio components.
-
-    Presents the `repro.sim.engine.Simulator` surface (``now``,
-    ``schedule``, ``schedule_at``, ``events_processed``) to synchronous
-    callbacks, plus :meth:`sleep_until` for coroutines.  A single
-    driver (:meth:`drive`) owns time: it waits until every registered
-    component is parked, then fires the earliest timer or wakes the
-    earliest sleeper — one at a time, in ``(time, priority, seq)``
-    order, which reproduces the batch engine's deterministic ordering.
-
-    Components must only await :meth:`sleep_until` (or return); any
-    other await while "runnable" would stall the driver.
-    """
-
-    def __init__(self, start_s: float, compress: float = 0.0):
-        if compress < 0:
-            raise ValueError(f"compress must be >= 0, got {compress}")
-        self._now = float(start_s)
-        #: Sim-seconds per wall-second; 0 = unpaced (flat out).
-        self.compress = float(compress)
-        self._seq = itertools.count()
-        self._timers: List[Event] = []
-        #: (time, priority, seq, future) — seq breaks ties before the
-        #: (non-comparable) future is ever compared.
-        self._sleepers: List[Tuple[float, int, int, asyncio.Future]] = []
-        self._runnable = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._events_processed = 0
-        #: Worst wall-clock lag behind the compressed schedule, seconds.
-        self.max_lag_s = 0.0
-
-    # ----------------------------------------------------- Simulator surface
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    def schedule(self, delay: float, callback: Callable[[], None],
-                 priority: int = 0) -> Event:
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority)
-
-    def schedule_at(self, time_s: float, callback: Callable[[], None],
-                    priority: int = 0) -> Event:
-        if time_s < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_s} before current time "
-                f"{self._now}")
-        event = Event(time=float(time_s), priority=priority,
-                      seq=next(self._seq), callback=callback)
-        heapq.heappush(self._timers, event)
-        return event
-
-    # -------------------------------------------------- component bookkeeping
-    def register(self) -> None:
-        """Count a component as runnable (call before starting its task)."""
-        self._runnable += 1
-        self._idle.clear()
-
-    def release(self) -> None:
-        """A runnable component finished (or errored) for good."""
-        self._runnable -= 1
-        if self._runnable <= 0:
-            self._idle.set()
-
-    async def sleep_until(self, time_s: float, priority: int = 0) -> None:
-        """Park the calling component until the clock reaches `time_s`."""
-        fut = asyncio.get_running_loop().create_future()
-        heapq.heappush(self._sleepers,
-                       (max(float(time_s), self._now), priority,
-                        next(self._seq), fut))
-        self._runnable -= 1
-        if self._runnable <= 0:
-            self._idle.set()
-        woken = False
-        try:
-            await fut
-            woken = True
-        finally:
-            if not woken:
-                # Cancelled while parked: the driver never re-marked us
-                # runnable, but our owner's cleanup (release()) will
-                # decrement — rebalance here.  The dead entry left in
-                # the heap is skipped because its future is done.
-                self._runnable += 1
-
-    # ------------------------------------------------------------- internals
-    def _next_entry(self):
-        """The earliest live (time, priority, seq) entry, or None."""
-        while self._timers and self._timers[0].cancelled:
-            heapq.heappop(self._timers)
-        while self._sleepers and self._sleepers[0][3].done():
-            heapq.heappop(self._sleepers)
-        timer = self._timers[0] if self._timers else None
-        sleeper = self._sleepers[0] if self._sleepers else None
-        if timer is None and sleeper is None:
-            return None
-        if sleeper is None or (timer is not None and (
-                (timer.time, timer.priority, timer.seq)
-                <= (sleeper[0], sleeper[1], sleeper[2]))):
-            return ("timer", timer.time)
-        return ("sleeper", sleeper[0])
-
-    def _fire_next(self) -> None:
-        """Pop and fire the earliest entry (the driver's inner step)."""
-        kind, t = self._next_entry()
-        self._now = max(self._now, t)
-        self._events_processed += 1
-        if kind == "timer":
-            event = heapq.heappop(self._timers)
-            event.callback()
-        else:
-            entry = heapq.heappop(self._sleepers)
-            self._runnable += 1
-            self._idle.clear()
-            entry[3].set_result(None)
-
-    async def drive(self, end_s: float, stop: asyncio.Event) -> str:
-        """Advance virtual time until `end_s` or `stop`; returns why.
-
-        ``"completed"`` — the next work item lies past `end_s` (the
-        clock is left exactly at `end_s`); ``"stopped"`` — `stop` was
-        set; ``"drained"`` — no component or timer has anything left.
-        """
-        wall_anchor = time.monotonic()
-        sim_anchor = self._now
-        steps = 0
-        while True:
-            await self._idle.wait()
-            if stop.is_set():
-                return "stopped"
-            head = self._next_entry()
-            if head is None:
-                return "drained"
-            t_next = head[1]
-            if t_next > end_s:
-                self._now = end_s
-                return "completed"
-            if self.compress > 0:
-                target = wall_anchor + (t_next - sim_anchor) / self.compress
-                lag = time.monotonic() - target
-                if lag < 0:
-                    try:
-                        await asyncio.wait_for(stop.wait(), timeout=-lag)
-                        return "stopped"
-                    except asyncio.TimeoutError:
-                        pass
-                elif lag > self.max_lag_s:
-                    self.max_lag_s = lag
-            steps += 1
-            if steps % 256 == 0:
-                # Unpaced mode never otherwise yields to the loop: give
-                # signal handlers and the stop event a chance to land.
-                await asyncio.sleep(0)
-                if stop.is_set():
-                    return "stopped"
-            self._fire_next()
-
-
-# --------------------------------------------------------------------------
-# Components
-# --------------------------------------------------------------------------
-@dataclass
-class ComponentStats:
-    """Liveness record of one service component (heartbeat payload)."""
-
-    name: str
-    priority: int
-    ticks: int = 0
-    last_t: Optional[float] = None
-
-
-class _Periodic:
-    """A component that ticks a synchronous callback on a fixed cadence."""
-
-    def __init__(self, name: str, priority: int, interval_s: float,
-                 tick: Callable[[], None], start_delay: float = 0.0):
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
-        self.stats = ComponentStats(name, priority)
-        self.interval_s = float(interval_s)
-        self.start_delay = float(start_delay)
-        self._tick = tick
-        self.priority = priority
-
-    async def run(self, clock: VirtualClock) -> None:
-        t = clock.now + self.start_delay
-        while True:
-            await clock.sleep_until(t, self.priority)
-            self._tick()
-            self.stats.ticks += 1
-            self.stats.last_t = clock.now
-            t = clock.now + self.interval_s
-
-
-class _Chaos:
-    """Walks the schedule's gateway-crash windows, skipping fired ones.
-
-    The restart halves of crash windows are queued by
-    `EventDrivenXRON._apply_crash` through the clock's timer surface,
-    exactly as on the batch engine.
-    """
-
-    def __init__(self, system: EventDrivenXRON):
-        self.stats = ComponentStats("chaos", -1)
-        self.system = system
-
-    async def run(self, clock: VirtualClock) -> None:
-        injector = self.system._injector
-        if injector is None:
-            return
-        for spec in injector.crash_windows():
-            if spec.end_s <= clock.now or injector.fired(spec):
-                continue
-            await clock.sleep_until(max(spec.start_s, clock.now),
-                                    priority=-1)
-            if injector.fired(spec):
-                continue
-            self.system._apply_crash(clock, spec)
-            self.stats.ticks += 1
-            self.stats.last_t = clock.now
 
 
 # --------------------------------------------------------------------------
@@ -413,10 +172,6 @@ class ServiceConfig:
     #: Where service checkpoint envelopes are persisted (None = memory
     #: only, like the batch engine).
     checkpoint_path: Optional[Union[str, Path]] = None
-    #: Take one final checkpoint while draining (needs resilience).
-    drain_checkpoint: bool = True
-    #: Close the system (controller solve pool) on exit.
-    close_system: bool = True
     #: Print heartbeat lines to stderr.
     verbose: bool = False
 
@@ -437,7 +192,6 @@ class ServiceResult:
     #: First and last health samples (RSS/fd/children drift bounds).
     health_first: Optional[Dict[str, Any]]
     health_last: Optional[Dict[str, Any]]
-    components: List[ComponentStats]
     eventsim: EventSimResult
 
     @property
@@ -445,234 +199,191 @@ class ServiceResult:
         """Whether the run ended through the graceful drain path.
 
         Every returned result has drained (checkpoint, telemetry flush,
-        pool teardown) — a component failure raises `ServiceError`
+        pool teardown) — a callback failure raises `ServiceError`
         instead of returning — so only the failure reason is excluded.
         """
         return self.stop_reason != "component-error"
 
 
 class ServiceError(RuntimeError):
-    """A service component failed; the run was drained early."""
+    """A service callback failed; the run was drained early."""
 
 
 class XRONService:
-    """`EventDrivenXRON` as a long-running, drainable asyncio service."""
+    """`EventDrivenXRON` as a long-running, drainable, paced service."""
 
     def __init__(self, system: EventDrivenXRON, config: ServiceConfig, *,
                  start_s: float = 0.0):
         self.system = system
         self.config = config
         self._start_s = float(start_s)
-        self.clock: Optional[VirtualClock] = None
         self.heartbeats: List[Dict[str, Any]] = []
-        self._stop_event: Optional[asyncio.Event] = None
+        self._stop = threading.Event()
         self._stop_reason: Optional[str] = None
-        self._errors: List[BaseException] = []
         self._persisted_json: Optional[str] = None
-        self._components: List[Any] = []
+        self._tasks: Dict[str, PeriodicTask] = {}
+        #: Worst wall-clock lag behind the compressed schedule, seconds.
+        self._max_lag_s = 0.0
 
     # ------------------------------------------------------------- lifecycle
     def request_stop(self, reason: str = "requested") -> None:
         """Begin a graceful drain (signal handlers route here)."""
         if self._stop_reason is None:
             self._stop_reason = reason
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self._stop.set()
 
-    def run(self) -> ServiceResult:
-        """`asyncio.run` wrapper installing SIGTERM/SIGINT drain handlers."""
-        return asyncio.run(self._run_with_signals())
-
-    async def _run_with_signals(self) -> ServiceResult:
-        loop = asyncio.get_running_loop()
-        installed: List[signal.Signals] = []
+    def _install_signal_handlers(self) -> Dict[int, Any]:
+        """Route SIGTERM/SIGINT to `request_stop`; returns the previous
+        handlers.  Python only delivers signals to the main thread, so
+        elsewhere nothing is installed."""
+        previous: Dict[int, Any] = {}
+        if threading.current_thread() is not threading.main_thread():
+            return previous
         for signame in ("SIGTERM", "SIGINT"):
             signum = getattr(signal, signame, None)
-            if signum is None:
-                continue
-            try:
-                loop.add_signal_handler(
-                    signum, self.request_stop, signame)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-main thread or unsupported platform
-        try:
-            return await self.run_async()
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
+            if signum is not None:
+                previous[signum] = signal.signal(
+                    signum,
+                    lambda _signum, _frame, name=signame:
+                        self.request_stop(name))
+        return previous
 
     # ------------------------------------------------------------------ run
-    async def run_async(self) -> ServiceResult:
+    def run(self) -> ServiceResult:
         """Run the service window; always drains before returning."""
         sys_ = self.system
         cfg = self.config
-        clock = VirtualClock(self._start_s, cfg.compress)
-        self.clock = clock
-        stop = asyncio.Event()
-        self._stop_event = stop
-        if self._stop_reason is not None:
-            stop.set()  # stop requested before start: drain immediately
-        end_s = self._start_s + cfg.duration_s
+        if cfg.compress < 0:
+            raise ValueError(f"compress must be >= 0, got {cfg.compress}")
+        sim = Simulator(start_time=self._start_s)
         wall0 = time.monotonic()
-
-        burst = sys_.sim_config.monitoring.burst_interval_s
-        # Mirrors EventDrivenXRON.run's priorities exactly: chaos -1,
-        # control 0, probing 1, passive flush 2, measurement 3; the
-        # heartbeat (5) is service-only and records no simulation state.
-        components: List[Any] = [
-            _Chaos(sys_),
-            _Periodic("controller", 0, sys_.sim_config.epoch_s,
-                      lambda: self._controller_tick(clock)),
-            _Periodic("probing", 1, burst,
-                      lambda: sys_._probe_round(clock)),
-            _Periodic("passive-flush", 2, sys_.passive_flush_s,
-                      lambda: sys_._flush_passive(clock),
-                      start_delay=sys_.passive_flush_s),
-            _Periodic("workload", 3, sys_.measure_interval_s,
-                      lambda: sys_._measure(clock),
-                      start_delay=sys_.measure_interval_s),
-            _Periodic("heartbeat", 5, cfg.heartbeat_s,
-                      lambda: self._heartbeat(clock, wall0),
-                      start_delay=cfg.heartbeat_s),
-        ]
-        self._components = components
-        tasks: List[asyncio.Task] = []
-        for component in components:
-            clock.register()
-            tasks.append(asyncio.ensure_future(
-                self._run_component(component, clock, stop)))
-        driver = asyncio.ensure_future(clock.drive(end_s, stop))
+        previous = self._install_signal_handlers()
+        error: Optional[Exception] = None
         try:
-            reason = await driver
+            try:
+                # The heartbeat (priority 5) is service-only and records
+                # no simulation state, so the batch events keep their
+                # order.
+                self._tasks = sys_._schedule(
+                    sim, after_epoch=lambda: self._persist(sim.now))
+                self._tasks["heartbeat"] = sim.every(
+                    cfg.heartbeat_s, lambda: self._heartbeat(sim, wall0),
+                    start_delay=cfg.heartbeat_s, priority=5)
+                self._drive(sim, wall0)
+            except Exception as exc:
+                error = exc
+                self.request_stop("component-error")
+            self._drain(sim)
         finally:
-            stop.set()
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-        if self._stop_reason is None:
-            self._stop_reason = reason
-        self._drain(clock)
-        result = ServiceResult(
+            # Restored only after the drain, so a second SIGTERM cannot
+            # kill the process mid-checkpoint.
+            for signum, handler in previous.items():
+                signal.signal(signum, handler if handler is not None
+                              else signal.SIG_DFL)
+        if error is not None:
+            raise ServiceError(
+                f"service callback failed: {error!r}") from error
+        return ServiceResult(
             stop_reason=self._stop_reason,
-            sim_t0=self._start_s, sim_t1=clock.now,
+            sim_t0=self._start_s, sim_t1=sim.now,
             wall_s=time.monotonic() - wall0,
-            events_processed=clock.events_processed,
+            events_processed=sim.events_processed,
             epochs=len(sys_.control_outputs),
             heartbeats=len(self.heartbeats),
-            max_lag_s=clock.max_lag_s,
+            max_lag_s=self._max_lag_s,
             checkpoint_path=(str(cfg.checkpoint_path)
                              if cfg.checkpoint_path else None),
             health_first=(self.heartbeats[0]["health"]
                           if self.heartbeats else None),
             health_last=(self.heartbeats[-1]["health"]
                          if self.heartbeats else None),
-            components=[c.stats for c in components],
-            eventsim=self._eventsim_result(clock))
-        if self._errors:
-            raise ServiceError(
-                f"{len(self._errors)} component(s) failed; first: "
-                f"{self._errors[0]!r}") from self._errors[0]
-        return result
+            eventsim=sys_._result(sim))
 
-    async def _run_component(self, component, clock: VirtualClock,
-                             stop: asyncio.Event) -> None:
-        try:
-            await component.run(clock)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            self._errors.append(exc)
-            if self._stop_reason is None:
-                self._stop_reason = "component-error"
-            stop.set()
-        finally:
-            clock.release()
+    def _drive(self, sim: Simulator, wall0: float) -> None:
+        """Advance `sim` to the window end in probe-burst slices.
 
-    # ------------------------------------------------------------ components
-    def _controller_tick(self, clock: VirtualClock) -> None:
-        """One control epoch, then persist any fresh checkpoint."""
+        Stops early when `request_stop` was called; the clock is then
+        left at the end of the last slice run.
+        """
+        compress = self.config.compress
+        slice_s = self.system.sim_config.monitoring.burst_interval_s
+        end_s = self._start_s + self.config.duration_s
+        k = 0
+        while not self._stop.is_set():
+            k += 1
+            t_next = min(self._start_s + k * slice_s, end_s)
+            if compress > 0:
+                lag = time.monotonic() - (
+                    wall0 + (t_next - self._start_s) / compress)
+                if lag < 0:
+                    if self._stop.wait(-lag):
+                        return
+                elif lag > self._max_lag_s:
+                    self._max_lag_s = lag
+            sim.run_until(t_next)
+            if t_next >= end_s:
+                self._stop_reason = self._stop_reason or "completed"
+                return
+
+    # ------------------------------------------------------------ callbacks
+    def _persist(self, now: float) -> None:
+        """After each epoch: persist a checkpoint taken since the last."""
         sys_ = self.system
-        sys_._control_epoch(clock)
         if (self.config.checkpoint_path is not None
                 and sys_._checkpoint_json is not None
                 and sys_._checkpoint_json is not self._persisted_json):
-            self._write_envelope(clock.now)
+            self._write_envelope(now)
 
-    def _heartbeat(self, clock: VirtualClock, wall0: float) -> None:
+    def _heartbeat(self, sim: Simulator, wall0: float) -> None:
         health = health_sample()
         beat: Dict[str, Any] = {
-            "t": clock.now,
+            "t": sim.now,
             "wall_s": round(time.monotonic() - wall0, 3),
             "epochs": len(self.system.control_outputs),
-            "events": clock.events_processed,
-            "max_lag_s": round(clock.max_lag_s, 3),
+            "events": sim.events_processed,
+            "max_lag_s": round(self._max_lag_s, 3),
             "health": health,
-            "components": {c.stats.name: c.stats.ticks
-                           for c in self._components},
+            "components": {name: task.fire_count
+                           for name, task in self._tasks.items()},
         }
         self.heartbeats.append(beat)
         if _TEL.enabled:
-            _TEL.event("service_heartbeat", t=clock.now,
+            _TEL.event("service_heartbeat", t=sim.now,
                        wall_s=beat["wall_s"], epochs=beat["epochs"],
                        events=beat["events"],
                        max_lag_s=beat["max_lag_s"], **health)
-            _TEL.flush_stream(clock.now)
+            _TEL.flush_stream(sim.now)
         if self.config.verbose:
-            print(f"[serve] t={clock.now:,.0f}s wall={beat['wall_s']:.1f}s "
+            print(f"[serve] t={sim.now:,.0f}s wall={beat['wall_s']:.1f}s "
                   f"epochs={beat['epochs']} events={beat['events']:,} "
                   f"rss={health['rss_kb']}kB fds={health['open_fds']} "
                   f"children={health['children']}", file=sys.stderr)
 
     # ----------------------------------------------------------------- drain
-    def _drain(self, clock: VirtualClock) -> None:
+    def _drain(self, sim: Simulator) -> None:
         """Graceful teardown: checkpoint, flush telemetry, close pools.
 
-        Runs on EVERY exit path (normal completion, SIGTERM, component
+        Runs on EVERY exit path (normal completion, SIGTERM, callback
         failure) so a soak never strands stream handles, unflushed
         metric deltas, or fork workers.
         """
         sys_ = self.system
-        if (self.config.drain_checkpoint and sys_._installer is not None
-                and sys_.resilience is not None
+        if (sys_._installer is not None
                 and sys_.resilience.checkpoint_enabled):
-            sys_._take_checkpoint(clock.now)
+            sys_._take_checkpoint(sim.now)
         if (self.config.checkpoint_path is not None
                 and sys_._checkpoint_json is not None):
-            self._write_envelope(clock.now)
+            self._write_envelope(sim.now)
         if _TEL.enabled:
             health = health_sample()
-            _TEL.event("service_shutdown", t=clock.now,
+            _TEL.event("service_shutdown", t=sim.now,
                        reason=self._stop_reason,
                        epochs=len(sys_.control_outputs),
-                       events=clock.events_processed,
+                       events=sim.events_processed,
                        heartbeats=len(self.heartbeats),
-                       max_lag_s=round(clock.max_lag_s, 3), **health)
-            _TEL.flush_stream(clock.now)
-        if self.config.close_system:
-            sys_.close()
-
-    def _eventsim_result(self, clock: VirtualClock) -> EventSimResult:
-        sys_ = self.system
-        return EventSimResult(
-            sessions=sys_.sessions,
-            control_outputs=sys_.control_outputs,
-            probe_bytes=sum(c.probe_bytes()
-                            for c in sys_.clusters.values()),
-            detections=sum(c.degradation_detections()
-                           for c in sys_.clusters.values()),
-            gateway_counts={code: c.size
-                            for code, c in sys_.clusters.items()},
-            events_processed=clock.events_processed,
-            fault_counters=(sys_._injector.counters.as_dict()
-                            if sys_._injector is not None else None),
-            resilience_counters=(sys_._res_counters.as_dict()
-                                 if sys_._res_counters is not None else None),
-            membership_counters=(sys_._membership.counters.as_dict()
-                                 if sys_._membership is not None else None),
-            partition_counters=(sys_._partition_counters.as_dict()
-                                if sys_._partition_counters is not None
-                                else None))
+                       max_lag_s=round(self._max_lag_s, 3), **health)
+            _TEL.flush_stream(sim.now)
+        sys_.close()
 
     # ------------------------------------------------------------ checkpoint
     def _write_envelope(self, now: float) -> Path:
@@ -765,7 +476,6 @@ class XRONService:
 
 
 __all__ = [
-    "VirtualClock", "ServiceConfig", "ServiceResult", "ServiceError",
-    "XRONService", "ComponentStats", "build_soak_schedule",
-    "health_sample", "ENVELOPE_SCHEMA",
+    "ServiceConfig", "ServiceResult", "ServiceError", "XRONService",
+    "build_soak_schedule", "health_sample", "ENVELOPE_SCHEMA",
 ]

@@ -1,15 +1,16 @@
 """Tests for the always-on service mode (`repro.core.service`)."""
 
-import asyncio
 import json
 import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
-from repro.core.service import (ServiceConfig, ServiceError, VirtualClock,
-                                XRONService, build_soak_schedule)
+from repro.core.service import (ServiceConfig, ServiceError, XRONService,
+                                build_soak_schedule)
 from repro.core.variants import xron
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
@@ -53,76 +54,13 @@ def _build_system(regions, seed=5, faults=None, with_resilience=True,
         resilience=resilience() if with_resilience else None)
 
 
-# ---------------------------------------------------------------- the clock
-def test_clock_fires_timers_in_time_priority_seq_order():
-    clock = VirtualClock(0.0)
-    order = []
-    clock.schedule_at(10.0, lambda: order.append("b"), priority=1)
-    clock.schedule_at(10.0, lambda: order.append("a"), priority=0)
-    clock.schedule_at(5.0, lambda: order.append("first"), priority=3)
-    clock.schedule_at(10.0, lambda: order.append("c"), priority=1)
-
-    async def main():
-        return await clock.drive(100.0, asyncio.Event())
-
-    reason = asyncio.run(main())
-    assert reason == "drained"
-    assert order == ["first", "a", "b", "c"]
-    assert clock.events_processed == 4
-
-
-def test_clock_rejects_scheduling_in_the_past():
-    from repro.sim.engine import SimulationError
-    clock = VirtualClock(100.0)
-    with pytest.raises(SimulationError):
-        clock.schedule(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        clock.schedule_at(99.0, lambda: None)
-
-
-def test_clock_interleaves_sleepers_and_timers_deterministically():
-    clock = VirtualClock(0.0)
-    order = []
-    clock.schedule_at(20.0, lambda: order.append("timer@20"), priority=0)
-
-    async def sleeper(name, t, priority):
-        await clock.sleep_until(t, priority)
-        order.append(name)
-        clock.release()
-
-    async def main():
-        clock.register()
-        clock.register()
-        asyncio.ensure_future(sleeper("low@20", 20.0, 2))
-        asyncio.ensure_future(sleeper("high@20", 20.0, -1))
-        return await clock.drive(100.0, asyncio.Event())
-
-    reason = asyncio.run(main())
-    assert reason == "drained"
-    assert order == ["high@20", "timer@20", "low@20"]
-
-
-def test_clock_completes_at_window_end_without_draining():
-    clock = VirtualClock(0.0)
-    fired = []
-    clock.schedule_at(50.0, lambda: fired.append(50.0))
-    clock.schedule_at(150.0, lambda: fired.append(150.0))
-
-    async def main():
-        return await clock.drive(100.0, asyncio.Event())
-
-    assert asyncio.run(main()) == "completed"
-    assert fired == [50.0]
-    assert clock.now == 100.0
-
-
 # -------------------------------------------------------------- the service
 def test_service_runs_a_window_and_drains(tmp_path, regions):
     system = _build_system(regions)
     config = ServiceConfig(duration_s=300.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config, start_s=0.0)
-    result = asyncio.run(service.run_async())
+    result = service.run()
     assert result.stop_reason == "completed"
     assert result.drained
     assert result.sim_t1 == 300.0
@@ -144,7 +82,7 @@ def test_service_is_deterministic(regions):
         system = _build_system(regions)
         service = XRONService(
             system, ServiceConfig(duration_s=300.0, heartbeat_s=150.0))
-        result = asyncio.run(service.run_async())
+        result = service.run()
         return result
 
     a, b = run_once(), run_once()
@@ -155,33 +93,73 @@ def test_service_is_deterministic(regions):
                 == b.eventsim.sessions[pair].latency_ms)
 
 
-def test_service_matches_batch_engine(regions):
-    """The asyncio clock reproduces the batch engine's run exactly.
+def _stop_at(system, t, action):
+    """Wrap the system's measurement tick to call `action` at sim time `t`."""
+    measure = system._measure
 
-    Same components, same priorities, same RNG draw order: the session
-    measurements and fault accounting must be identical to
+    def tick(sim):
+        measure(sim)
+        if sim.now == t:
+            action()
+
+    system._measure = tick
+
+
+def _assert_served_equals_batch(regions, crash_s):
+    """A served window is the batch window plus heartbeats.
+
+    Both run `EventDrivenXRON._schedule` on the same engine, so every
+    session sample, control output and counter must be identical to
     `EventDrivenXRON.run` over the same window.
     """
     schedule = FaultSchedule.of(
-        fault_spec.gateway_crash(100.0, 60.0, regions[0].code),
+        fault_spec.gateway_crash(crash_s, 60.0, regions[0].code),
         fault_spec.probe_blackout(200.0, 60.0, region=regions[1].code))
     batch = _build_system(regions, faults=schedule)
     batch_result = batch.run(0.0, 400.0)
     batch.close()
 
     served = _build_system(regions, faults=schedule)
-    service = XRONService(served, ServiceConfig(duration_s=400.0))
-    live_result = asyncio.run(service.run_async()).eventsim
+    service = XRONService(served, ServiceConfig(duration_s=400.0,
+                                                heartbeat_s=60.0))
+    result = service.run()
+    live = result.eventsim
 
-    assert len(live_result.control_outputs) == len(
-        batch_result.control_outputs)
-    assert live_result.fault_counters == batch_result.fault_counters
-    assert live_result.probe_bytes == batch_result.probe_bytes
+    assert result.heartbeats == 6
+    assert result.events_processed == (batch_result.events_processed
+                                       + result.heartbeats)
+    assert live.events_processed == result.events_processed
+    assert len(live.control_outputs) == len(batch_result.control_outputs)
+    for mine, theirs in zip(live.control_outputs,
+                            batch_result.control_outputs):
+        assert (mine.path_result.assignments
+                == theirs.path_result.assignments)
+        assert (mine.path_result.forwarding_tables
+                == theirs.path_result.forwarding_tables)
+    assert live.fault_counters == batch_result.fault_counters
+    assert live.fault_counters["gateways_crashed"] == 1
+    assert live.membership_counters == batch_result.membership_counters
+    assert live.partition_counters == batch_result.partition_counters
+    # The drain takes one checkpoint the batch run never takes.
+    expected = dict(batch_result.resilience_counters)
+    expected["checkpoints_taken"] += 1
+    assert live.resilience_counters == expected
+    assert live.probe_bytes == batch_result.probe_bytes
+    assert live.detections == batch_result.detections
+    assert live.gateway_counts == batch_result.gateway_counts
+    assert list(live.sessions) == list(batch_result.sessions)
     for pair, record in batch_result.sessions.items():
-        live = live_result.sessions[pair]
-        assert live.times == record.times
-        assert live.latency_ms == record.latency_ms
-        assert live.on_backup == record.on_backup
+        assert live.sessions[pair] == record
+
+
+def test_service_matches_batch_engine(regions):
+    _assert_served_equals_batch(regions, crash_s=100.0)
+
+
+def test_service_matches_batch_engine_crash_at_start(regions):
+    """A crash window opening at the window start fires after the boot
+    epoch under serve exactly as under batch."""
+    _assert_served_equals_batch(regions, crash_s=0.0)
 
 
 def test_service_stop_request_drains_immediately(tmp_path, regions):
@@ -189,21 +167,46 @@ def test_service_stop_request_drains_immediately(tmp_path, regions):
     config = ServiceConfig(duration_s=600.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config)
+    _stop_at(system, 150.0, lambda: service.request_stop("test-stop"))
 
-    async def main():
-        task = asyncio.ensure_future(service.run_async())
-        while service.clock is None or service.clock.now < 150.0:
-            await asyncio.sleep(0.001)
-        service.request_stop("test-stop")
-        return await task
-
-    result = asyncio.run(main())
+    result = service.run()
     assert result.stop_reason == "test-stop"
     assert result.drained
-    assert 150.0 <= result.sim_t1 < 600.0
+    # The stop lands at the end of the probe-burst slice holding t=150.
+    slice_s = system.sim_config.monitoring.burst_interval_s
+    assert 150.0 <= result.sim_t1 <= 150.0 + slice_s
+    assert result.heartbeats == 2
     # The drain checkpoint reflects the stop time, not the window end.
     envelope = XRONService.load_envelope(tmp_path / "cp.json")
-    assert envelope["sim_t"] <= result.sim_t1
+    assert envelope["sim_t"] == result.sim_t1
+
+
+def test_service_sigterm_drains_and_restores_handlers(tmp_path, regions):
+    """A real SIGTERM mid-run drains gracefully, persists the envelope
+    and leaves the process's own signal handlers in place afterwards."""
+    system = _build_system(regions)
+    path = tmp_path / "cp.json"
+    service = XRONService(system, ServiceConfig(
+        duration_s=600.0, heartbeat_s=60.0, checkpoint_path=path))
+    _stop_at(system, 150.0, lambda: os.kill(os.getpid(), signal.SIGTERM))
+
+    def mine(signum, frame):
+        raise AssertionError("the service's handler should be active")
+
+    before_int = signal.getsignal(signal.SIGINT)
+    before_term = signal.signal(signal.SIGTERM, mine)
+    try:
+        result = service.run()
+        assert signal.getsignal(signal.SIGTERM) is mine
+        assert signal.getsignal(signal.SIGINT) is before_int
+    finally:
+        signal.signal(signal.SIGTERM, before_term)
+    assert result.stop_reason == "SIGTERM"
+    assert result.drained
+    assert 150.0 <= result.sim_t1 < 600.0
+    envelope = XRONService.load_envelope(path)
+    assert envelope["sim_t"] == result.sim_t1
+    assert envelope["seed"] == system.sim_config.seed
 
 
 def test_component_error_drains_and_raises(regions):
@@ -215,7 +218,7 @@ def test_component_error_drains_and_raises(regions):
 
     system._flush_passive = lambda sim: boom()
     with pytest.raises(ServiceError, match="injected component failure"):
-        asyncio.run(service.run_async())
+        service.run()
     # The drain still ran: no stranded children, controller closed.
     assert multiprocessing.active_children() == []
 
@@ -238,7 +241,7 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
     leg1_system = _build_system(regions, faults=schedule)
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=250.0, checkpoint_path=path))
-    leg1_result = asyncio.run(leg1.run_async())
+    leg1_result = leg1.run()
     assert leg1_result.eventsim.fault_counters["gateways_crashed"] == 1
     envelope = XRONService.load_envelope(path)
     inner = json.loads(envelope["checkpoint"])
@@ -250,7 +253,7 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
     t = leg2.restore_from(envelope)
     assert t == pytest.approx(250.0)
     leg2.config.duration_s = 600.0 - t
-    leg2_result = asyncio.run(leg2.run_async())
+    leg2_result = leg2.run()
 
     # Counters are imported with the checkpoint, so the leg-2 totals are
     # cumulative: exactly one crash per scheduled window, never two.
@@ -266,7 +269,7 @@ def test_restore_rejects_mismatched_schedule(tmp_path, regions):
     path = tmp_path / "cp.json"
     leg1 = XRONService(_build_system(regions, faults=schedule),
                        ServiceConfig(duration_s=200.0, checkpoint_path=path))
-    asyncio.run(leg1.run_async())
+    leg1.run()
     envelope = XRONService.load_envelope(path)
 
     other = FaultSchedule.of(
@@ -283,7 +286,7 @@ def test_restore_resumes_controller_state(tmp_path, regions):
     leg1_system = _build_system(regions)
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=300.0, checkpoint_path=path))
-    asyncio.run(leg1.run_async())
+    leg1.run()
     sib_state = leg1_system.controller.sib.export_state()
 
     leg2_system = _build_system(regions)

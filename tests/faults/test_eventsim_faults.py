@@ -92,18 +92,6 @@ class TestControllerOutage:
         assert len(result.control_outputs) == 1
         assert any(rec.times for rec in result.sessions.values())
 
-    def test_legacy_tuple_still_works_with_deprecation(self, regions):
-        u, d = _build(regions)
-        with pytest.deprecated_call():
-            sim = EventDrivenXRON(
-                u, d,
-                sim_config=SimulationConfig(epoch_s=30.0, eval_step_s=10.0,
-                                            seed=5, demand_scale=0.05),
-                controller_outage=(3601.0, 3700.0))
-        result = sim.run(3600.0, 90.0)
-        assert sim.skipped_epochs == 3
-        assert result.fault_counters["epochs_skipped"] == 3
-
 
 class TestGatewayCrash:
     # Elastic capacity control would scale these tiny-demand clusters to
