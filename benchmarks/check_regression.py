@@ -60,7 +60,6 @@ SWEEP_GATED = (
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
-    "test_sweep_path_control_sharded",
     "test_sweep_full_epoch_incremental",
     "test_sweep_full_epoch_warm_delta",
 )

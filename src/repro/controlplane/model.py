@@ -31,6 +31,12 @@ LinkStateFn = Callable[[str, str, LinkType], Tuple[float, float]]
 #: callback, or a matrix snapshot evaluated once per control epoch.
 LinkState = Union[LinkStateFn, LinkStateSnapshot]
 
+#: How the controller runs the per-epoch solve.  "monolithic" is the
+#: reference; "incremental" diffs consecutive snapshots and reuses
+#: previous-epoch work (`repro.controlplane.incremental`).  Both produce
+#: bit-identical outputs.
+CONTROL_MODES = ("monolithic", "incremental")
+
 
 @dataclass(frozen=True)
 class OverlayPath:

@@ -70,8 +70,8 @@ def route_walk(regions: Tuple[str, ...], state: LinkState,
     Returns ``rec_plan[r]`` = ordered relay sequence (excluding ``r``)
     to the destination, for every non-terminal region of the route.
     The walk depends only on the region sequence and the link state, so
-    routes can be walked independently (and in parallel — the sharded
-    solver fans distinct routes out across worker processes).
+    routes can be walked independently and a walk can be reused for
+    any route with the same regions under the same link state.
     """
     dst = regions[-1]
     rec_plan: Dict[str, Tuple[str, ...]] = {}
@@ -111,9 +111,9 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
     `path.regions` — at scale most streams share a handful of routes.
 
     `walks` optionally seeds (and accumulates) that per-route memo:
-    pass a dict of pre-computed `route_walk` outputs (e.g. from the
-    sharded solver or the incremental engine's previous epoch) and only
-    routes missing from it are walked here.  Seeded entries must have
+    pass a dict of pre-computed `route_walk` outputs (the incremental
+    engine's walks from the previous epoch) and only routes missing
+    from it are walked here.  Seeded entries must have
     been computed against the same `state`/`loss_ms_penalty`.
     """
     plans: Dict[Tuple[int, str], ReactionPlan] = {}

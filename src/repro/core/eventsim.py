@@ -291,7 +291,6 @@ class EventDrivenXRON:
             internet_only=not self.variant.premium_allowed,
             sib_params=self._sib_params,
             control_mode=self.sim_config.control_mode,
-            shard_workers=self.sim_config.shard_workers,
             seed=self.sim_config.seed)
 
     # ------------------------------------------------------------------ api
@@ -380,17 +379,9 @@ class EventDrivenXRON:
                                 else None))
 
     def close(self) -> None:
-        """Release held resources: the controller's solve pool (idempotent).
-
-        The warm-restart path replaces the controller and closes the old
-        one; this is the teardown for every *other* exit — without it a
-        sharded deployment strands its fork workers until process exit.
-        """
-        if self.controller is not None:
-            self.controller.close()
-        for sub in self._regional.values():
-            sub.close()
-        self._regional.clear()
+        """No-op teardown hook: the system holds no process or file
+        resources, but callers may `close()` it or use it as a context
+        manager so teardown stays uniform."""
 
     def __enter__(self) -> "EventDrivenXRON":
         return self
@@ -611,7 +602,6 @@ class EventDrivenXRON:
         every restore exercises the full round trip)."""
         warm = (self.resilience.checkpoint_enabled
                 and self._checkpoint_json is not None)
-        self.controller.close()  # release the old solve pool, if any
         self.controller = self._make_controller()
         if self._injector is not None:
             self.controller.nib.fault_filter = self._injector.filter_report
@@ -1060,7 +1050,6 @@ class EventDrivenXRON:
                 _TEL.event("partition_heal", t=now, regions=list(key),
                            fenced_version=fence,
                            regional_epochs=sub.epochs_run)
-            sub.close()
 
     def _make_load_fn(self, code: str):
         """Per-region provisioning-storm hook for a `ContainerPool`."""

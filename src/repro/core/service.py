@@ -198,8 +198,8 @@ class ServiceResult:
     def drained(self) -> bool:
         """Whether the run ended through the graceful drain path.
 
-        Every returned result has drained (checkpoint, telemetry flush,
-        pool teardown) — a callback failure raises `ServiceError`
+        Every returned result has drained (checkpoint, telemetry
+        flush) — a callback failure raises `ServiceError`
         instead of returning — so only the failure reason is excluded.
         """
         return self.stop_reason != "component-error"
@@ -361,11 +361,11 @@ class XRONService:
 
     # ----------------------------------------------------------------- drain
     def _drain(self, sim: Simulator) -> None:
-        """Graceful teardown: checkpoint, flush telemetry, close pools.
+        """Graceful teardown: checkpoint, then flush telemetry.
 
         Runs on EVERY exit path (normal completion, SIGTERM, callback
-        failure) so a soak never strands stream handles, unflushed
-        metric deltas, or fork workers.
+        failure) so a soak never strands stream handles or unflushed
+        metric deltas.
         """
         sys_ = self.system
         if (sys_._installer is not None
@@ -383,7 +383,6 @@ class XRONService:
                        heartbeats=len(self.heartbeats),
                        max_lag_s=round(self._max_lag_s, 3), **health)
             _TEL.flush_stream(sim.now)
-        sys_.close()
 
     # ------------------------------------------------------------ checkpoint
     def _write_envelope(self, now: float) -> Path:

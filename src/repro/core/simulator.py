@@ -265,7 +265,6 @@ class EpochSimulator:
                 robust_percentile=self.sim_config.robust_percentile,
                 workload=workload,
                 control_mode=self.sim_config.control_mode,
-                shard_workers=self.sim_config.shard_workers,
                 seed=self.sim_config.seed)
         else:
             self.controller = None
@@ -274,15 +273,9 @@ class EpochSimulator:
 
     # ------------------------------------------------------------------ api
     def close(self) -> None:
-        """Release the controller's solve pool, if any (idempotent).
-
-        Sharded control modes hold fork worker processes; a simulator
-        dropped without teardown would strand them until GC finds the
-        pool's finalizer.  Long-lived drivers (`run_multi_day`, the
-        serve loop) close explicitly instead.
-        """
-        if self.controller is not None:
-            self.controller.close()
+        """No-op teardown hook: the simulator holds no process or file
+        resources, but callers may `close()` it or use it as a context
+        manager so teardown stays uniform."""
 
     def __enter__(self) -> "EpochSimulator":
         return self

@@ -127,16 +127,14 @@ def path_result_digest(result: PathControlResult) -> Dict:
     }
 
 
-def control_digest(wl: Workload, state, context=None, walks_fn=None) -> Dict:
+def control_digest(wl: Workload, state, context=None) -> Dict:
     """Run the full two-step control + reaction plans; digest everything.
 
     `state` is whatever the control stack accepts as link state (the
     scalar callback pre-refactor; callback or snapshot post-refactor).
-    `context` optionally threads an `EpochSolveContext` through both
-    solves (the sharded tests pass a pool-backed one), and `walks_fn`
-    optionally pre-computes the reaction-plan route walks (e.g.
-    `ControlPool.reaction_walks`) — both must be value-transparent for
-    the digest to match the frozen references.
+    `context` optionally threads one `EpochSolveContext` through both
+    solves, as `Controller.run_epoch` does; it must be value-transparent
+    for the digest to match the frozen references.
     """
     r_cur = path_control(wl.streams, wl.codes, state, wl.config,
                          gateways=wl.gateways, fees=wl.fees,
@@ -144,10 +142,7 @@ def control_digest(wl: Workload, state, context=None, walks_fn=None) -> Dict:
     decision = capacity_control(wl.streams, wl.codes, state, wl.config,
                                 wl.gateways, r_cur, fees=wl.fees,
                                 context=context)
-    walks = (walks_fn(r_cur, state, wl.config.loss_ms_penalty)
-             if walks_fn is not None else None)
-    plans = generate_reaction_plans(r_cur, state,
-                                    wl.config.loss_ms_penalty, walks=walks)
+    plans = generate_reaction_plans(r_cur, state, wl.config.loss_ms_penalty)
     return outputs_digest(r_cur, decision, plans)
 
 

@@ -1,9 +1,9 @@
 """Golden equivalence: control modes are byte-identical end to end.
 
-`Controller(control_mode=...)` promises that "monolithic", "sharded"
-and "incremental" are pure performance seams — same assignments, same
-forwarding tables, same reaction plans, same simulated sessions, bit
-for bit.  These tests run the full simulators (including under an
+`Controller(control_mode=...)` promises that "incremental" is a pure
+performance seam over the "monolithic" reference — same assignments,
+same forwarding tables, same reaction plans, same simulated sessions,
+bit for bit.  These tests run the full simulators (including under an
 active chaos schedule that kills the controller, crashes gateways and
 blinds probes) once per mode and compare the canonical output bytes.
 """
@@ -14,6 +14,8 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
+from repro.controlplane.controller import Controller
+from repro.controlplane.model import CONTROL_MODES
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator
@@ -26,8 +28,6 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import default_regions
 from repro.underlay.scenarios import quiet_link
 from repro.underlay.topology import build_underlay
-
-MODES = ("monolithic", "sharded", "incremental")
 
 
 @pytest.fixture(autouse=True)
@@ -77,10 +77,6 @@ def _eventsim_bytes(regions, mode, faults):
                                     seed=5, demand_scale=0.05,
                                     control_mode=mode),
         faults=FaultSchedule.of(*faults) if faults else None)
-    if mode == "sharded":
-        # The 3-region toy is far below the sharding threshold; force
-        # the pool into the epoch path so the mode is actually exercised.
-        sim.controller._pool.min_shard_rows = 1
     result = sim.run(3600.0, 120.0)
     doc = {"events": result.events_processed,
            "probe_bytes": result.probe_bytes,
@@ -102,8 +98,6 @@ def _epochsim_bytes(regions, mode):
         u, d, xron(),
         sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=10.0, seed=5,
                                     control_mode=mode))
-    if mode == "sharded":
-        sim.controller._pool.min_shard_rows = 1
     result = sim.run(3600.0, 900.0)
     doc = {"latency": result.latency_ms.round(9).tolist(),
            "loss": result.loss_rate.round(9).tolist(),
@@ -114,12 +108,12 @@ def _epochsim_bytes(regions, mode):
 
 
 class TestEventSim:
-    @pytest.mark.parametrize("mode", MODES[1:])
+    @pytest.mark.parametrize("mode", CONTROL_MODES[1:])
     def test_byte_identical_without_faults(self, regions, mode):
         assert (_eventsim_bytes(regions, mode, None)
                 == _eventsim_bytes(regions, "monolithic", None))
 
-    @pytest.mark.parametrize("mode", MODES[1:])
+    @pytest.mark.parametrize("mode", CONTROL_MODES[1:])
     def test_byte_identical_under_chaos_schedule(self, regions, mode):
         """Controller outages + gateway crashes + probe blackouts: the
         incremental engine sees genuinely dirty epochs (fleets change,
@@ -129,7 +123,16 @@ class TestEventSim:
 
 
 class TestEpochSim:
-    @pytest.mark.parametrize("mode", MODES[1:])
+    @pytest.mark.parametrize("mode", CONTROL_MODES[1:])
     def test_byte_identical(self, regions, mode):
         assert (_epochsim_bytes(regions, mode)
                 == _epochsim_bytes(regions, "monolithic"))
+
+
+def test_unknown_control_mode_rejected(regions):
+    """The removed "sharded" mode fails loudly at both entry points
+    instead of silently running some other solve."""
+    with pytest.raises(ValueError, match="control_mode"):
+        SimulationConfig(control_mode="sharded")
+    with pytest.raises(ValueError, match="control_mode"):
+        Controller([r.code for r in regions], control_mode="sharded")

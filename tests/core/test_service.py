@@ -219,7 +219,7 @@ def test_component_error_drains_and_raises(regions):
     system._flush_passive = lambda sim: boom()
     with pytest.raises(ServiceError, match="injected component failure"):
         service.run()
-    # The drain still ran: no stranded children, controller closed.
+    # The drain still ran: no stranded children.
     assert multiprocessing.active_children() == []
 
 

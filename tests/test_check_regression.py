@@ -1,11 +1,16 @@
 """The CI perf gate: distillation and regression detection."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
-from benchmarks.check_regression import (GATED, main, parse_sweep_name,
+from benchmarks.check_regression import (BUDGETED_SWEEP_BASES, GATED,
+                                         SWEEP_GATED, main, parse_sweep_name,
                                          summarise_raw)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def raw_doc(means):
@@ -227,3 +232,23 @@ def test_new_sweep_point_without_reference_skipped(files, capsys):
     extra["test_sweep_full_epoch[n075]"] = 3.0  # breaks the budget
     fresh.write_text(json.dumps(raw_doc(extra)))
     assert main(["check", str(fresh), "--reference", str(summary)]) == 1
+
+
+# ------------------------------------------------------- orphan gates
+
+
+def test_every_gate_names_a_live_benchmark():
+    """`check` skips sweep bases that no fresh run produces, so a gate
+    left behind by a deleted benchmark would never fire again.  Every
+    gated name must still be defined in a benchmark module, and every
+    sweep base must have a committed reference point."""
+    source = "\n".join(path.read_text()
+                       for path in sorted(ROOT.glob("benchmarks/bench_*.py")))
+    defined = set(re.findall(r"^def (test_\w+)\(", source, re.MULTILINE))
+    missing = sorted((set(GATED) | set(SWEEP_GATED)) - defined)
+    assert not missing, f"gates without a benchmark: {missing}"
+    assert set(BUDGETED_SWEEP_BASES) <= set(SWEEP_GATED)
+    current = json.loads((ROOT / "BENCH_control.json").read_text())["current"]
+    bases = {parsed[0] for parsed in map(parse_sweep_name, current) if parsed}
+    unreferenced = sorted(set(SWEEP_GATED) - bases)
+    assert not unreferenced, f"sweep gates without a reference: {unreferenced}"
